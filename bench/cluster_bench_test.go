@@ -24,8 +24,8 @@ import (
 )
 
 // benchCluster starts n solver nodes plus a coordinator and returns a
-// client against the coordinator.
-func benchCluster(b *testing.B, n int, nodeCfg service.Config) *client.Client {
+// client against the coordinator and one against each node.
+func benchCluster(b *testing.B, n int, nodeCfg service.Config) (*client.Client, []*client.Client) {
 	b.Helper()
 	cfg := cluster.Config{
 		// Snappy loops: the benchmark measures coordination overhead, not
@@ -33,10 +33,12 @@ func benchCluster(b *testing.B, n int, nodeCfg service.Config) *client.Client {
 		HealthInterval: 100 * time.Millisecond,
 		PollInterval:   2 * time.Millisecond,
 	}
+	var nodes []*client.Client
 	for i := 0; i < n; i++ {
 		svc := service.New(nodeCfg)
 		srv := httptest.NewServer(svc.Handler())
 		cfg.Nodes = append(cfg.Nodes, cluster.Node{Name: fmt.Sprintf("n%d", i+1), URL: srv.URL})
+		nodes = append(nodes, client.New(srv.URL, srv.Client()))
 		b.Cleanup(func() {
 			srv.Close()
 			if err := svc.Close(context.Background()); err != nil {
@@ -60,7 +62,7 @@ func benchCluster(b *testing.B, n int, nodeCfg service.Config) *client.Client {
 		}
 		srv.Close()
 	})
-	return client.New(srv.URL, srv.Client())
+	return client.New(srv.URL, srv.Client()), nodes
 }
 
 // BenchmarkClusterThroughput measures sustained jobs/sec through a
@@ -69,7 +71,7 @@ func benchCluster(b *testing.B, n int, nodeCfg service.Config) *client.Client {
 // BenchmarkServiceThroughput to read the cluster tier's overhead
 // (journal-less: admission, placement, dispatch, polling).
 func BenchmarkClusterThroughput(b *testing.B) {
-	c := benchCluster(b, 2, service.Config{QueueSize: 1024, CacheSize: -1})
+	c, _ := benchCluster(b, 2, service.Config{QueueSize: 1024, CacheSize: -1})
 	probs := make([]ftdse.Problem, 16)
 	for i := range probs {
 		probs[i] = benchProblem(int64(200 + i))
@@ -97,7 +99,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 // result cache through the coordinator. The delta against
 // BenchmarkServiceCacheHit is the price of the extra hop.
 func BenchmarkClusterAffinityCacheHit(b *testing.B) {
-	c := benchCluster(b, 2, service.Config{})
+	c, nodes := benchCluster(b, 2, service.Config{})
 	prob := benchProblem(9)
 	opts := service.SolveOptions{MaxIterations: 4, Workers: 1}
 	first, err := c.SubmitWait(context.Background(), prob, opts)
@@ -122,9 +124,22 @@ func BenchmarkClusterAffinityCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Affinity keeps re-solves away: every post-priming submission must
-	// have been answered by the owning shard's cache.
-	if m["node_cache_hits"] < float64(b.N) {
-		b.Fatalf("node_cache_hits = %v over %d submissions — affinity broke", m["node_cache_hits"], b.N)
+	// Affinity keeps re-solves away: every post-priming submission is
+	// either answered by the owning shard's cache or coalesced onto a
+	// concurrent identical job, and the priming solve is the only solve.
+	hits, coalesced := m["ftcluster_node_cache_hits_total"], m["ftcluster_jobs_coalesced_total"]
+	if hits+coalesced != float64(b.N) {
+		b.Fatalf("node cache hits %v + coalesced %v over %d submissions — affinity broke", hits, coalesced, b.N)
+	}
+	solves := 0.0
+	for _, nc := range nodes {
+		nm, err := nc.Metrics(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		solves += nm["ftdse_solves_total"]
+	}
+	if solves != 1 {
+		b.Fatalf("nodes ran %v solves, want only the priming one", solves)
 	}
 }

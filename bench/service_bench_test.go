@@ -98,7 +98,7 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if m["solves_total"] != 1 {
-		b.Fatalf("cache-hit benchmark re-solved: solves_total = %v", m["solves_total"])
+	if m["ftdse_solves_total"] != 1 {
+		b.Fatalf("cache-hit benchmark re-solved: ftdse_solves_total = %v", m["ftdse_solves_total"])
 	}
 }

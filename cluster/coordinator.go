@@ -5,14 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/ftdse"
 	"repro/ftdse/obs"
 	"repro/ftdse/service"
 )
@@ -35,15 +36,14 @@ type Config struct {
 	// memory only (acknowledged jobs then do not survive a coordinator
 	// restart — fine for tests, not for production).
 	Journal string
-	// CheckpointInterval is the cadence nodes are asked to push search
-	// checkpoints at (default 1s).
-	CheckpointInterval time.Duration
 	// HealthInterval is the readiness-probe cadence (default 1s).
 	HealthInterval time.Duration
 	// FailAfter marks a node dead after this many consecutive probe
 	// failures (default 3); its in-flight jobs re-map to survivors.
 	FailAfter int
 	// PollInterval is the per-job status poll cadence (default 250ms).
+	// It is also the checkpoint cadence: a poll that sees the job's
+	// improvement count advance pulls the new incumbent.
 	PollInterval time.Duration
 	// MaxPending bounds the open (non-terminal) jobs; submissions beyond
 	// it are rejected with 429 (default 1024).
@@ -66,9 +66,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CheckpointInterval <= 0 {
-		c.CheckpointInterval = time.Second
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
@@ -130,10 +127,13 @@ type cjob struct {
 	remoteID     string // job id on the owning node
 	attempts     int    // dispatch attempts (for backoff/diagnostics)
 	improvements int
-	cancelReq    bool
-	result       json.RawMessage
-	errMsg       string
-	done         chan struct{}
+	// pulled is the remote improvement count at the last checkpoint
+	// pull from the current attempt (reset on every dispatch).
+	pulled    int
+	cancelReq bool
+	result    json.RawMessage
+	errMsg    string
+	done      chan struct{}
 }
 
 // Coordinator shards solve jobs across ftdsed nodes. Create with New,
@@ -149,14 +149,13 @@ type Coordinator struct {
 	self    string // advertised coordinator URL (set by Start)
 	jobs    map[string]*cjob
 	open    map[string]*cjob           // fingerprint → non-terminal job
-	ckpts   map[string]json.RawMessage // fingerprint → freshest checkpoint doc
+	ckpts   map[string]json.RawMessage // open fingerprint → best checkpoint doc
 	retired []string
 	nextID  uint64
 	started bool
 	closed  bool
 
 	met  *coordMetrics
-	vars *expvar.Map
 	log  *slog.Logger
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -198,7 +197,6 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:    make(chan struct{}),
 	}
 	c.met = newCoordMetrics(c)
-	c.vars = c.met.expvarMap(c)
 	c.log = cfg.Logger
 	if c.log == nil {
 		c.log = obs.Discard()
@@ -252,9 +250,12 @@ func (c *Coordinator) replay(recs []journalRecord) {
 			close(j.done)
 			if c.open[j.fp] == j {
 				delete(c.open, j.fp)
+				delete(c.ckpts, j.fp)
 			}
 		case recCheckpoint:
-			if r.Fingerprint != "" && len(r.Checkpoint) > 0 {
+			// storeCheckpoint journals only documents at least as good as
+			// the stored one, so the last record per open job wins.
+			if c.open[r.Fingerprint] != nil && len(r.Checkpoint) > 0 {
 				c.ckpts[r.Fingerprint] = r.Checkpoint
 			}
 		}
@@ -262,8 +263,9 @@ func (c *Coordinator) replay(recs []journalRecord) {
 }
 
 // Start begins the health loop and the monitors of journal-replayed
-// jobs. selfURL is the address nodes push checkpoints to (this
-// coordinator's own base URL as the nodes reach it).
+// jobs. selfURL is this coordinator's own base URL as the nodes reach
+// it; registration hands it to nodes of the previous release, which
+// push checkpoints there.
 func (c *Coordinator) Start(selfURL string) error {
 	c.mu.Lock()
 	if c.started {
@@ -319,12 +321,9 @@ func (c *Coordinator) Close(ctx context.Context) error {
 	return err
 }
 
-// Vars returns the coordinator's metrics map.
-func (c *Coordinator) Vars() *expvar.Map { return c.vars }
-
-// LatestCheckpoint returns the freshest checkpoint document stored for
-// a fingerprint (nil when none). Exposed for warm-starting similar
-// problems and for tests asserting the failover contract.
+// LatestCheckpoint returns the best checkpoint document stored for an
+// open job's fingerprint (nil when none, and once the job concluded).
+// Exposed for tests asserting the failover contract.
 func (c *Coordinator) LatestCheckpoint(fp string) json.RawMessage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -376,7 +375,7 @@ func (c *Coordinator) healthPass() {
 		m.depth = st.QueueDepth
 		m.mu.Unlock()
 		// A node answering under a different (or no) identity restarted
-		// or never met us: (re-)register so checkpoint pushes flow.
+		// or never met us: (re-)register it.
 		if st.Node != name {
 			c.register(m)
 		}
@@ -413,11 +412,7 @@ func (c *Coordinator) register(m *member) {
 	if self == "" {
 		return
 	}
-	body, _ := json.Marshal(service.RegisterRequest{
-		Node:         m.name,
-		Coordinator:  self,
-		CheckpointMs: float64(c.cfg.CheckpointInterval) / float64(time.Millisecond),
-	})
+	body, _ := json.Marshal(service.RegisterRequest{Node: m.name, Coordinator: self})
 	resp, err := c.hc.Post(m.url+"/cluster/register", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return
@@ -522,7 +517,7 @@ func (c *Coordinator) monitor(j *cjob) {
 		case node == "":
 			c.dispatch(j)
 		default:
-			c.poll(j, node, remoteID)
+			c.poll(j, node, remoteID, canceled)
 		}
 		select {
 		case <-c.stop:
@@ -594,7 +589,7 @@ func (c *Coordinator) dispatch(j *cjob) {
 	j.mu.Lock()
 	j.attempts++
 	attempt := j.attempts
-	j.node, j.remoteID = m.name, st.ID
+	j.node, j.remoteID, j.pulled = m.name, st.ID, 0
 	if !service.TerminalState(j.state) {
 		j.state = service.StateRunning
 	}
@@ -618,13 +613,25 @@ func (c *Coordinator) dispatch(j *cjob) {
 // poll refreshes a dispatched job's state from its node. Losing the
 // remote job (404 after a node restart) or its node re-maps the job;
 // a remote cancellation the coordinator did not ask for (a draining
-// node) does too — zero lost jobs is the contract.
-func (c *Coordinator) poll(j *cjob, node, remoteID string) {
+// node) does too — zero lost jobs is the contract. A requested cancel
+// goes out as DELETE instead of GET: it is idempotent and answers with
+// the job's status, so it also reaches a node that was bound only
+// after the client's DELETE found the job undispatched. A running job
+// whose improvement count advanced gets its incumbent pulled.
+func (c *Coordinator) poll(j *cjob, node, remoteID string, canceled bool) {
 	m := c.members[node]
 	if alive, _, _ := m.snapshot(); !alive {
 		return // failoverNode already unassigned it (or is about to)
 	}
-	resp, err := c.hc.Get(m.url + "/jobs/" + remoteID)
+	method := http.MethodGet
+	if canceled {
+		method = http.MethodDelete
+	}
+	req, err := http.NewRequest(method, m.url+"/jobs/"+remoteID, nil)
+	if err != nil {
+		return
+	}
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return // transport failure: the health loop decides the node's fate
 	}
@@ -643,9 +650,13 @@ func (c *Coordinator) poll(j *cjob, node, remoteID string) {
 		return // reassigned or concluded while the poll was in flight
 	}
 	j.improvements = st.Improvements
-	canceled := j.cancelReq
+	canceled = j.cancelReq
+	pull := st.Improvements > j.pulled
 	j.mu.Unlock()
 	if !service.TerminalState(st.State) {
+		if pull {
+			c.pullCheckpoint(j, m, remoteID, st.Improvements)
+		}
 		return
 	}
 	if st.State == service.StateCanceled && !canceled {
@@ -655,6 +666,96 @@ func (c *Coordinator) poll(j *cjob, node, remoteID string) {
 		return
 	}
 	c.conclude(j, st.State, st.Result, st.Error)
+}
+
+// pullCheckpoint fetches a running job's incumbent from its node and
+// stores it, so a failover resumes from an incumbent at most one poll
+// interval old. seq is the improvement count the poll saw; a failed
+// pull is retried on the next poll.
+func (c *Coordinator) pullCheckpoint(j *cjob, m *member, remoteID string, seq int) {
+	resp, err := c.hc.Get(m.url + "/jobs/" + remoteID + "/checkpoint")
+	if err != nil {
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return // 204: no incumbent yet; 404: the job concluded meanwhile
+	}
+	doc, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	if err != nil {
+		return
+	}
+	if err := c.storeCheckpoint(j.fp, doc); err != nil {
+		c.log.Warn("checkpoint pull rejected", obs.TraceIDKey, j.traceID,
+			"job", j.id, "node", m.name, "error", err.Error())
+		return
+	}
+	j.mu.Lock()
+	if j.remoteID == remoteID {
+		j.pulled = seq
+	}
+	j.mu.Unlock()
+}
+
+// storeCheckpoint is the one path a checkpoint document takes into the
+// coordinator, whether pulled by poll or pushed by a node of the
+// previous release. It keeps the best document per open fingerprint: a
+// document that would regress the stored incumbent (a cold re-solve
+// racing a warm one) is dropped, so warm starts never get worse, and
+// one for a fingerprint with no open job has nothing left to resume.
+// The journal record precedes the in-memory store.
+func (c *Coordinator) storeCheckpoint(fp string, doc json.RawMessage) error {
+	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(doc))
+	if err != nil {
+		return fmt.Errorf("checkpoint document: %w", err)
+	}
+	c.mu.Lock()
+	admit := c.admitsCheckpointLocked(fp, ck)
+	c.mu.Unlock()
+	if !admit {
+		return nil
+	}
+	if c.wal != nil {
+		if err := c.wal.append(journalRecord{
+			Type: recCheckpoint, Fingerprint: fp, Checkpoint: doc,
+		}); err != nil {
+			return err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Re-checked: the job may have concluded, or a better document
+	// landed, while the journal synced.
+	if !c.admitsCheckpointLocked(fp, ck) {
+		return nil
+	}
+	c.ckpts[fp] = doc
+	c.met.ckptsReceived.Inc()
+	return nil
+}
+
+// admitsCheckpointLocked reports whether ck may replace the document
+// stored for fp; callers hold c.mu.
+func (c *Coordinator) admitsCheckpointLocked(fp string, ck ftdse.Checkpoint) bool {
+	if c.open[fp] == nil {
+		return false
+	}
+	stored, ok := c.ckpts[fp]
+	if !ok {
+		return true
+	}
+	old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored))
+	return err != nil || asGoodAs(ck, old)
+}
+
+// asGoodAs reports whether checkpoint a's incumbent is at least as good
+// as b's, in the solver's cost order. Ties admit a (fresher wins: a
+// later checkpoint of the same fingerprint carries more elapsed search).
+func asGoodAs(a, b ftdse.Checkpoint) bool {
+	if a.TardinessMs != b.TardinessMs {
+		return a.TardinessMs < b.TardinessMs
+	}
+	return a.MakespanMs <= b.MakespanMs
 }
 
 // unassign drops a job's node binding so its monitor re-dispatches.
@@ -692,6 +793,7 @@ func (c *Coordinator) conclude(j *cjob, state string, result json.RawMessage, er
 	c.mu.Lock()
 	if c.open[j.fp] == j {
 		delete(c.open, j.fp)
+		delete(c.ckpts, j.fp)
 	}
 	c.retired = append(c.retired, j.id)
 	for len(c.jobs) > c.cfg.MaxJobs && len(c.retired) > 0 {
@@ -732,9 +834,8 @@ func (j *cjob) status() service.JobStatus {
 // ---- metrics ----
 
 // coordMetrics aggregates the coordinator's counters on an obs.Registry
-// (one per coordinator, nothing process-global), exposed twice: GET
-// /metrics renders the Prometheus text format under ftcluster_* names,
-// and expvarMap keeps the legacy JSON view with its historical keys.
+// (one per coordinator, nothing process-global), rendered by GET
+// /metrics in the Prometheus text format under ftcluster_* names.
 type coordMetrics struct {
 	reg *obs.Registry
 
@@ -773,7 +874,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		completed:      r.NewCounter("ftcluster_jobs_completed_total", "Jobs that reached the done state."),
 		failed:         r.NewCounter("ftcluster_jobs_failed_total", "Jobs that reached the failed state."),
 		canceled:       r.NewCounter("ftcluster_jobs_canceled_total", "Jobs that reached the canceled state."),
-		ckptsReceived:  r.NewCounter("ftcluster_checkpoints_received_total", "Checkpoint documents accepted from nodes."),
+		ckptsReceived:  r.NewCounter("ftcluster_checkpoints_received_total", "Checkpoint documents stored (pulled from or pushed by nodes)."),
 		nodeDeaths:     r.NewCounter("ftcluster_node_deaths_total", "Nodes declared dead after consecutive probe failures."),
 		queueWait: r.NewHistogram("ftcluster_queue_wait_seconds",
 			"Time from job admission to the first node accepting it.", buckets),
@@ -800,36 +901,6 @@ func (c *Coordinator) aliveNodes() int {
 		}
 	}
 	return n
-}
-
-// expvarMap builds the legacy exported view with the historical key
-// names, rendering from the same registry state.
-func (m *coordMetrics) expvarMap(c *Coordinator) *expvar.Map {
-	out := new(expvar.Map).Init()
-	intVar := func(name string, read func() int64) {
-		out.Set(name, expvar.Func(func() any { return read() }))
-	}
-	intVar("jobs_submitted", m.submitted.Value)
-	intVar("jobs_coalesced", m.coalesced.Value)
-	intVar("jobs_rejected", m.rejected.Value)
-	intVar("jobs_completed", m.completed.Value)
-	intVar("jobs_failed", m.failed.Value)
-	intVar("jobs_canceled", m.canceled.Value)
-	intVar("dispatches", m.dispatches.Value)
-	out.Set("dispatches_by_node", expvar.Func(func() any { return m.byNode.Values() }))
-	intVar("redispatches", m.redispatches.Value)
-	intVar("steals", m.steals.Value)
-	intVar("node_cache_hits", m.cacheHits.Value)
-	intVar("warm_dispatches", m.warmDispatches.Value)
-	intVar("checkpoints_received", m.ckptsReceived.Value)
-	intVar("node_deaths", m.nodeDeaths.Value)
-	out.Set("open_jobs", expvar.Func(func() any {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.open)
-	}))
-	out.Set("nodes_alive", expvar.Func(func() any { return c.aliveNodes() }))
-	return out
 }
 
 // ShardStat is one node's row in the shard map report.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,11 @@ import (
 	"repro/ftdse/obs"
 	"repro/ftdse/service"
 )
+
+// hc is the tests' HTTP client. Its timeout makes a hidden slow path
+// (a cancel that never reaches the node, a stream that never ends)
+// fail the test instead of stalling it.
+var hc = &http.Client{Timeout: 10 * time.Second}
 
 // testNode is one in-process solver node behind an httptest server.
 type testNode struct {
@@ -54,10 +60,9 @@ func startNodes(t *testing.T, n int, cfg service.Config) []*testNode {
 // fastCfg makes the coordinator's loops test-speed.
 func fastCfg(nodes []*testNode) cluster.Config {
 	cfg := cluster.Config{
-		CheckpointInterval: 25 * time.Millisecond,
-		HealthInterval:     50 * time.Millisecond,
-		PollInterval:       20 * time.Millisecond,
-		FailAfter:          2,
+		HealthInterval: 50 * time.Millisecond,
+		PollInterval:   20 * time.Millisecond,
+		FailAfter:      2,
 	}
 	for i, n := range nodes {
 		cfg.Nodes = append(cfg.Nodes, cluster.Node{Name: fmt.Sprintf("n%d", i+1), URL: n.srv.URL})
@@ -110,7 +115,7 @@ func postSolve(t *testing.T, url string, body []byte, wantCode int, wait ...stri
 	if len(wait) > 0 {
 		path = "/solve?wait=1"
 	}
-	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	resp, err := hc.Post(url+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", path, err)
 	}
@@ -127,7 +132,7 @@ func postSolve(t *testing.T, url string, body []byte, wantCode int, wait ...stri
 
 func getJob(t *testing.T, url, id string) service.JobStatus {
 	t.Helper()
-	resp, err := http.Get(url + "/jobs/" + id)
+	resp, err := hc.Get(url + "/jobs/" + id)
 	if err != nil {
 		t.Fatalf("GET /jobs/%s: %v", id, err)
 	}
@@ -158,7 +163,7 @@ func waitState(t *testing.T, url, id string, timeout time.Duration, ok func(serv
 // exposition at GET /metrics, validating the format on every scrape.
 func metric(t *testing.T, url, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := hc.Get(url + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -179,7 +184,7 @@ func metric(t *testing.T, url, name string) float64 {
 
 func shards(t *testing.T, url string) []cluster.ShardStat {
 	t.Helper()
-	resp, err := http.Get(url + "/cluster/shards")
+	resp, err := hc.Get(url + "/cluster/shards")
 	if err != nil {
 		t.Fatalf("GET /cluster/shards: %v", err)
 	}
@@ -238,7 +243,7 @@ func TestClusterCoalescesDuplicateSubmissions(t *testing.T) {
 		t.Fatalf("jobs_coalesced = %v, want 1", got)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+st1.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatalf("DELETE: %v", err)
 	}
@@ -248,6 +253,106 @@ func TestClusterCoalescesDuplicateSubmissions(t *testing.T) {
 	})
 }
 
+// TestClusterCancelDuringDispatch pins the cancel-during-dispatch race:
+// a DELETE that reaches the coordinator while its POST /solve to the
+// node is still in flight finds no node to forward to, so the job's
+// next poll must forward it. The node holds the dispatch until the
+// DELETE has arrived; the slow solve must then end canceled within a
+// second instead of running out its iteration budget.
+func TestClusterCancelDuringDispatch(t *testing.T) {
+	var (
+		dispatchOnce, deleteOnce sync.Once
+		dispatching              = make(chan struct{}) // the node holds POST /solve
+		deleteIn                 = make(chan struct{}) // the DELETE reached the coordinator
+		released                 = make(chan struct{}) // the node let the dispatch through
+	)
+	svc := service.New(service.Config{})
+	nodeAPI := svc.Handler()
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/solve" {
+			dispatchOnce.Do(func() {
+				close(dispatching)
+				<-deleteIn
+				// The coordinator records the cancel request as soon as its
+				// handler runs. This grace period only makes the dispatch
+				// return after that: were it too short, the handler would
+				// forward the cancel itself and the test would pass without
+				// exercising the race, never fail spuriously.
+				time.Sleep(50 * time.Millisecond)
+				close(released)
+			})
+		}
+		nodeAPI.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		deleteOnce.Do(func() { close(deleteIn) })
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		svc.Close(ctx)
+	})
+
+	cfg := fastCfg(nil)
+	cfg.Nodes = []cluster.Node{{Name: "n1", URL: node.URL}}
+	coord, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordAPI := coord.Handler()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			deleteOnce.Do(func() { close(deleteIn) })
+		}
+		coordAPI.ServeHTTP(w, r)
+	}))
+	if err := coord.Start(front.URL); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		coord.Close(ctx)
+		front.Close()
+	})
+
+	st := postSolve(t, front.URL, slowBody(t, 31), http.StatusAccepted)
+	select {
+	case <-dispatching:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never dispatched the job")
+	}
+	deleted := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodDelete, front.URL+"/jobs/"+st.ID, nil)
+		resp, err := hc.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		deleted <- err
+	}()
+	select {
+	case <-released:
+	case err := <-deleted:
+		t.Fatalf("DELETE returned before the dispatch was released: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the DELETE never reached the coordinator")
+	}
+	final := waitState(t, front.URL, st.ID, time.Second, func(s service.JobStatus) bool {
+		return service.TerminalState(s.State)
+	})
+	if final.State != service.StateCanceled {
+		t.Fatalf("job canceled mid-dispatch ended %q (%s)", final.State, final.Error)
+	}
+	select {
+	case err := <-deleted:
+		if err != nil {
+			t.Fatalf("DELETE: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("DELETE still blocked after the job concluded")
+	}
+}
+
 func TestClusterValidationAndAdmission(t *testing.T) {
 	nodes := startNodes(t, 1, service.Config{})
 	cfg := fastCfg(nodes)
@@ -255,7 +360,7 @@ func TestClusterValidationAndAdmission(t *testing.T) {
 	_, srv := startCoordinator(t, cfg)
 
 	// Garbage problems never reach the journal or a node.
-	resp, err := http.Post(srv.URL+"/solve", "application/json",
+	resp, err := hc.Post(srv.URL+"/solve", "application/json",
 		bytes.NewReader([]byte(`{"problem":{"nonsense":true}}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +373,7 @@ func TestClusterValidationAndAdmission(t *testing.T) {
 	st := postSolve(t, srv.URL, slowBody(t, 3), http.StatusAccepted)
 	// The admission cap is full: a second distinct problem bounces with a
 	// retry hint, while a duplicate of the open job still coalesces.
-	resp, err = http.Post(srv.URL+"/solve", "application/json",
+	resp, err = hc.Post(srv.URL+"/solve", "application/json",
 		bytes.NewReader(slowBody(t, 4)))
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +390,7 @@ func TestClusterValidationAndAdmission(t *testing.T) {
 		t.Fatalf("duplicate rejected by the admission cap instead of coalescing")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+st.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
+	if resp, err := hc.Do(req); err == nil {
 		resp.Body.Close()
 	}
 }
@@ -303,7 +408,7 @@ func ckCost(t *testing.T, doc json.RawMessage) (float64, float64) {
 
 // TestClusterFailoverResumesFromCheckpoint is the heart of the
 // subsystem: kill the node that owns an in-flight solve and the job
-// must finish on the survivor, warm-started from the last pushed
+// must finish on the survivor, warm-started from the last stored
 // checkpoint, with a final cost no worse than the checkpointed
 // incumbent.
 func TestClusterFailoverResumesFromCheckpoint(t *testing.T) {
@@ -425,7 +530,7 @@ func TestClusterJournalSurvivesCoordinatorRestart(t *testing.T) {
 		t.Fatalf("replayed open job already terminal: %+v", st)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, srvB.URL+"/jobs/"+openSt.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
+	if resp, err := hc.Do(req); err == nil {
 		resp.Body.Close()
 	}
 	waitState(t, srvB.URL, openSt.ID, 15*time.Second, func(st service.JobStatus) bool {
@@ -446,7 +551,7 @@ func TestClusterEventsProxyStaysMonotone(t *testing.T) {
 	events := make(chan ev, 256)
 	streamDone := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "/events")
+		resp, err := hc.Get(srv.URL + "/jobs/" + st.ID + "/events")
 		if err != nil {
 			streamDone <- err
 			return
@@ -481,7 +586,7 @@ func TestClusterEventsProxyStaysMonotone(t *testing.T) {
 	// stream terminates.
 	time.Sleep(300 * time.Millisecond)
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+st.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
+	if resp, err := hc.Do(req); err == nil {
 		resp.Body.Close()
 	}
 	select {

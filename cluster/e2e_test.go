@@ -20,7 +20,7 @@ import (
 // with SIGKILL — no drain, no goodbye — mid-solve. It is the strongest
 // form of the failover contract: the in-test integration suite can only
 // sever HTTP; a killed process also takes the solve itself down, so the
-// surviving node genuinely resumes from the last pushed checkpoint.
+// surviving node genuinely resumes from the last pulled checkpoint.
 
 // freePort reserves a listen address and frees it for the daemon.
 func freePort(t *testing.T) string {
@@ -61,7 +61,7 @@ func startFtdsed(t *testing.T, bin, addr string) *exec.Cmd {
 	})
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/healthz")
+		resp, err := hc.Get("http://" + addr + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			return cmd
@@ -89,11 +89,10 @@ func TestE2ESIGKILLFailoverResumesFromCheckpoint(t *testing.T) {
 			{Name: "n1", URL: "http://" + addrs[0]},
 			{Name: "n2", URL: "http://" + addrs[1]},
 		},
-		Journal:            filepath.Join(t.TempDir(), "jobs.wal"),
-		CheckpointInterval: 25 * time.Millisecond,
-		HealthInterval:     50 * time.Millisecond,
-		PollInterval:       20 * time.Millisecond,
-		FailAfter:          2,
+		Journal:        filepath.Join(t.TempDir(), "jobs.wal"),
+		HealthInterval: 50 * time.Millisecond,
+		PollInterval:   20 * time.Millisecond,
+		FailAfter:      2,
 	}
 	coord, err := cluster.New(cfg)
 	if err != nil {

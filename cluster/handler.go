@@ -19,10 +19,9 @@ import (
 // POST /solve, POST /solve/batch, GET/DELETE /jobs/{id},
 // GET /jobs/{id}/events — so the typed client package works against it
 // unchanged; jobs just run on whichever node the shard map picks. On
-// top of that it serves the cluster surface: POST /cluster/checkpoints
-// (nodes push incumbents here), GET /cluster/checkpoints/{fp} (clients
-// fetch a prior incumbent to warm-start a similar problem), and
-// GET /cluster/shards (the shard map report).
+// top of that it serves the cluster surface: GET /cluster/shards (the
+// shard map report) and POST /cluster/checkpoints, where nodes of the
+// previous release push incumbents (current nodes are pulled from).
 
 // maxBody bounds request bodies, matching the node's limit.
 const maxBody = 16 << 20
@@ -36,7 +35,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", c.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/events", c.handleEvents)
 	mux.HandleFunc("POST /cluster/checkpoints", c.handleCheckpointPush)
-	mux.HandleFunc("GET /cluster/checkpoints/{fp}", c.handleCheckpointGet)
 	mux.HandleFunc("GET /cluster/shards", c.handleShards)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
@@ -272,6 +270,8 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// Forward the cancel; the monitor's poll observes the remote
 		// terminal state and concludes the job (cancelReq set, so the
 		// remote cancellation is final rather than a failover signal).
+		// With no node bound yet — a dispatch may be in flight — the
+		// monitor's next poll forwards it instead.
 		if m := c.members[node]; m != nil {
 			req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete,
 				m.url+"/jobs/"+remoteID, nil)
@@ -375,10 +375,9 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// handleCheckpointPush ingests one search checkpoint from a node. The
-// freshest-and-best document per fingerprint is journaled and kept; a
-// push that would regress the stored incumbent (a cold re-solve racing
-// a warm one) is dropped, so warm starts never get worse.
+// handleCheckpointPush accepts a checkpoint pushed by a node of the
+// previous release (current nodes are pulled from by the poll); the
+// document takes the same storeCheckpoint path as a pulled one.
 func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Request) {
 	var push service.CheckpointPush
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&push); err != nil {
@@ -389,61 +388,11 @@ func (c *Coordinator) handleCheckpointPush(w http.ResponseWriter, r *http.Reques
 		writeBadRequest(w, errors.New("checkpoint push without fingerprint"))
 		return
 	}
-	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(push.Checkpoint))
-	if err != nil {
-		writeBadRequest(w, fmt.Errorf("checkpoint document: %w", err))
+	if err := c.storeCheckpoint(push.Fingerprint, push.Checkpoint); err != nil {
+		writeBadRequest(w, err)
 		return
 	}
-	c.mu.Lock()
-	stored, ok := c.ckpts[push.Fingerprint]
-	c.mu.Unlock()
-	if ok {
-		if old, err := ftdse.ReadCheckpoint(bytes.NewReader(stored)); err == nil && !asGoodAs(ck, old) {
-			writeJSON(w, http.StatusOK, struct{}{})
-			return
-		}
-	}
-	if c.wal != nil {
-		if err := c.wal.append(journalRecord{
-			Type: recCheckpoint, Fingerprint: push.Fingerprint, Checkpoint: push.Checkpoint,
-		}); err != nil {
-			writeJSON(w, http.StatusInternalServerError, service.ErrorResponse{Error: err.Error()})
-			return
-		}
-	}
-	c.mu.Lock()
-	c.ckpts[push.Fingerprint] = push.Checkpoint
-	c.mu.Unlock()
-	c.met.ckptsReceived.Inc()
-	c.log.Info("checkpoint received", obs.TraceIDKey, r.Header.Get(obs.TraceHeader),
-		"node", push.Node, "remote_job", push.JobID, "fingerprint", push.Fingerprint)
 	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-// asGoodAs reports whether checkpoint a's incumbent is at least as good
-// as b's, in the solver's cost order. Ties admit a (fresher wins: a
-// later checkpoint of the same fingerprint carries more elapsed search).
-func asGoodAs(a, b ftdse.Checkpoint) bool {
-	if a.TardinessMs != b.TardinessMs {
-		return a.TardinessMs < b.TardinessMs
-	}
-	return a.MakespanMs <= b.MakespanMs
-}
-
-// handleCheckpointGet serves the freshest stored checkpoint for a
-// fingerprint — the warm-start hook for similar problems: fetch the
-// incumbent of a solved variant, submit the new problem with it as
-// WarmStart, and the search starts from that design when it fits.
-func (c *Coordinator) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fp")
-	ck := c.LatestCheckpoint(fp)
-	if ck == nil {
-		writeJSON(w, http.StatusNotFound,
-			service.ErrorResponse{Error: "no checkpoint for " + fp})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(ck)
 }
 
 // ShardsResponse is the body of GET /cluster/shards.

@@ -2,27 +2,28 @@
 // across a set of ftdsed nodes by consistent-hashing their canonical
 // fingerprints (cache affinity), health-checks the nodes and re-maps
 // shards when one dies, steals work from hot shards, journals every
-// admitted job to a write-ahead log, and ingests periodic search
-// checkpoints so an in-flight solve killed with its node resumes on a
-// survivor from its last incumbent design.
+// admitted job to a write-ahead log, and polls each job's status every
+// 250 ms, pulling the job's incumbent design from its node whenever the
+// search improved, so an in-flight solve killed with its node resumes
+// on a survivor from its last incumbent.
 //
 // Usage:
 //
 //	ftclusterd -node n1=http://host1:8385 -node n2=http://host2:8385
 //	           [-addr :8390] [-self http://this-host:8390]
-//	           [-journal jobs.wal] [-checkpoint 1s] [-health 1s]
+//	           [-journal jobs.wal] [-health 1s]
 //	           [-fail-after 3] [-max-pending 1024] [-drain 30s]
 //	           [-pprof] [-log-level info]
 //
 // The job surface speaks the ftdsed wire protocol — POST /solve
 // (?wait=1), POST /solve/batch, GET/DELETE /jobs/{id},
 // GET /jobs/{id}/events (SSE) — so the typed client works unchanged.
-// The cluster surface adds POST /cluster/checkpoints (node pushes),
-// GET /cluster/checkpoints/{fp} (warm-start fetch),
-// GET /cluster/shards, GET /metrics (Prometheus text exposition),
-// GET /healthz and GET /readyz. With -pprof the net/http/pprof profiles
-// mount under /debug/pprof/ and an on-demand runtime/trace capture
-// under /debug/rtrace; the legacy expvar view stays at /debug/vars.
+// The cluster surface adds GET /cluster/shards, GET /metrics
+// (Prometheus text exposition), GET /healthz, GET /readyz, and
+// POST /cluster/checkpoints for nodes of the previous release, which
+// push checkpoints instead of being polled. With -pprof the
+// net/http/pprof profiles mount under /debug/pprof/ and an on-demand
+// runtime/trace capture under /debug/rtrace.
 //
 // Logs are structured JSON (log/slog) on stderr; every job's lines —
 // admission, dispatches, failovers, conclusion — carry its trace_id,
@@ -37,7 +38,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -76,9 +76,8 @@ func main() {
 	var nodes nodeFlags
 	flag.Var(&nodes, "node", "solver node as name=url (repeat per node)")
 	addr := flag.String("addr", ":8390", "listen address")
-	self := flag.String("self", "", "advertised base URL nodes push checkpoints to (default http://127.0.0.1<addr>)")
+	self := flag.String("self", "", "advertised base URL sent to nodes at registration (default http://127.0.0.1<addr>)")
 	journal := flag.String("journal", "", "write-ahead job journal path (empty = no durability)")
-	checkpoint := flag.Duration("checkpoint", time.Second, "search checkpoint push cadence")
 	health := flag.Duration("health", time.Second, "node readiness probe cadence")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a node is dead")
 	maxPending := flag.Int("max-pending", 1024, "open job cap (submissions beyond it get 429)")
@@ -103,24 +102,21 @@ func main() {
 	}
 
 	coord, err := cluster.New(cluster.Config{
-		Nodes:              nodes,
-		Journal:            *journal,
-		CheckpointInterval: *checkpoint,
-		HealthInterval:     *health,
-		FailAfter:          *failAfter,
-		MaxPending:         *maxPending,
-		VNodes:             *vnodes,
-		Logger:             logger,
+		Nodes:          nodes,
+		Journal:        *journal,
+		HealthInterval: *health,
+		FailAfter:      *failAfter,
+		MaxPending:     *maxPending,
+		VNodes:         *vnodes,
+		Logger:         logger,
 	})
 	if err != nil {
 		logger.Error("ftclusterd failed to start", "error", err.Error())
 		os.Exit(1)
 	}
-	expvar.Publish("ftclusterd", coord.Vars())
 
 	mux := http.NewServeMux()
 	mux.Handle("/", coord.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	if *pprof {
 		obs.RegisterDebug(mux)
 	}

@@ -15,10 +15,10 @@ import (
 
 // The checkpoint export is the durability artifact of a running search:
 // the incumbent design together with where the search stood when it was
-// taken (phase, iteration, cost, elapsed time). A node pushes one to
-// its coordinator every few improvements; after the node dies, the
-// checkpoint warm-starts the resumed solve on another node, so the
-// search continues from the incumbent instead of restarting. Like the
+// taken (phase, iteration, cost, elapsed time). A coordinator pulls one
+// from its node whenever a running search improved; after the node
+// dies, the checkpoint warm-starts the resumed solve on another node,
+// so the search continues from the incumbent instead of restarting. Like the
 // problem and schedule exports the format is canonical — fixed key
 // order, sorted design entries (Go serializes map keys sorted),
 // two-space indent, trailing newline — and ReadCheckpoint is strict, so

@@ -6,8 +6,8 @@ import (
 )
 
 // TraceHeader is the HTTP header that carries a job's trace ID across
-// processes: client → coordinator → node, on dispatches, failover
-// re-dispatches and checkpoint pushes. The same ID appears in journal
+// processes: client → coordinator → node, on dispatches and failover
+// re-dispatches. The same ID appears in journal
 // entries, SSE events, log lines and the final JobResult, so one grep
 // over any of those reconstructs the job's life end to end.
 const TraceHeader = "Ftdse-Trace-Id"
@@ -48,7 +48,7 @@ func ValidTraceID(s string) bool {
 }
 
 // Span is one timed step of a job's life (queue wait, dispatch attempt,
-// solve, checkpoint push), offset-based so spans from one process need
+// solve), offset-based so spans from one process need
 // no clock agreement with any other: StartMs is measured from the
 // owning process's first sight of the job, and durations come from the
 // monotonic clock.
@@ -56,7 +56,7 @@ func ValidTraceID(s string) bool {
 //ftdse:wire
 type Span struct {
 	// Name identifies the step: "queue_wait", "solve", "dispatch",
-	// "redispatch", "checkpoint_push", ...
+	// "redispatch", ...
 	Name string `json:"name"`
 	// StartMs is the span's start, in milliseconds since the owning
 	// process accepted the job.

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -80,83 +79,104 @@ func TestReadyzTracksQueueAndDrain(t *testing.T) {
 	}
 }
 
-func TestRegisterThenCheckpointsArriveAtCoordinator(t *testing.T) {
-	var (
-		mu     sync.Mutex
-		pushes []service.CheckpointPush
-	)
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/cluster/checkpoints" {
-			http.NotFound(w, r)
-			return
-		}
-		var p service.CheckpointPush
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		pushes = append(pushes, p)
-		mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer coord.Close()
-
-	_, srv := newService(t, service.Config{QueueSize: 4, PoolWorkers: 1})
-	register(t, srv.URL, service.RegisterRequest{
-		Node: "n1", Coordinator: coord.URL, CheckpointMs: 20,
-	})
+func TestRegisterNamesTheNode(t *testing.T) {
+	_, srv := newService(t, service.Config{})
+	if st, _ := getReady(t, srv.URL); st.Node != "" {
+		t.Fatalf("standalone readyz node = %q", st.Node)
+	}
+	register(t, srv.URL, service.RegisterRequest{Node: "n1", Coordinator: "http://127.0.0.1:1"})
 	if st, _ := getReady(t, srv.URL); st.Node != "n1" {
 		t.Fatalf("readyz node = %q after registration", st.Node)
 	}
+}
+
+// getCheckpoint fetches GET /jobs/{id}/checkpoint, returning the HTTP
+// code and the body.
+func getCheckpoint(t *testing.T, url, id string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url + "/jobs/" + id + "/checkpoint")
+	if err != nil {
+		t.Fatalf("GET checkpoint: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading checkpoint: %v", err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestJobCheckpointEndpoint pins the document the cluster coordinator
+// pulls: none for an unknown job or before the first improvement, the
+// latest incumbent while the job runs, none once it is terminal.
+func TestJobCheckpointEndpoint(t *testing.T) {
+	_, srv := newService(t, service.Config{QueueSize: 4, PoolWorkers: 1})
+	if code, _ := getCheckpoint(t, srv.URL, "nope"); code != http.StatusNotFound {
+		t.Fatalf("unknown job checkpoint = %d, want 404", code)
+	}
 
 	prob := genProblem(14, 3)
-	job := postSolve(t, srv.URL, submitBody(t, prob, slowOpts), http.StatusAccepted)
+	running := postSolve(t, srv.URL, submitBody(t, prob, slowOpts), http.StatusAccepted)
+	waitState(t, srv.URL, running.ID, 10*time.Second, func(st service.JobStatus) bool {
+		return st.State == service.StateRunning && st.Improvements > 0
+	})
+	// The single worker is busy, so this job waits with no incumbent.
+	queued := postSolve(t, srv.URL, submitBody(t, genProblem(14, 4), slowOpts), http.StatusAccepted)
+	if code, body := getCheckpoint(t, srv.URL, queued.ID); code != http.StatusNoContent || len(body) != 0 {
+		t.Fatalf("checkpoint before the first improvement = %d %q, want 204 and no document", code, body)
+	}
 
-	deadline := time.Now().Add(15 * time.Second)
-	var got service.CheckpointPush
+	// The search keeps improving; retry until no improvement lands
+	// between the two status reads around the fetch, so the document is
+	// known to be the n-th incumbent.
+	var (
+		ck ftdse.Checkpoint
+		n  int
+	)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		mu.Lock()
-		n := len(pushes)
-		if n > 0 {
-			got = pushes[n-1]
+		before := getJob(t, srv.URL, running.ID).Improvements
+		code, body := getCheckpoint(t, srv.URL, running.ID)
+		if code != http.StatusOK {
+			t.Fatalf("running job checkpoint = %d %s, want 200", code, body)
 		}
-		mu.Unlock()
-		if n > 0 {
+		if n = getJob(t, srv.URL, running.ID).Improvements; n == before {
+			var err error
+			if ck, err = ftdse.ReadCheckpoint(bytes.NewReader(body)); err != nil {
+				t.Fatalf("checkpoint does not parse: %v\n%s", err, body)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint reached the coordinator")
+			t.Fatal("the search never paused long enough to pin its incumbent")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if got.Node != "n1" || got.JobID != job.ID || got.Fingerprint != job.Fingerprint {
-		t.Fatalf("push metadata = %+v, want node n1 job %s fp %s", got, job.ID, job.Fingerprint)
-	}
-	ck, err := ftdse.ReadCheckpoint(bytes.NewReader(got.Checkpoint))
-	if err != nil {
-		t.Fatalf("pushed checkpoint does not parse: %v\n%s", err, got.Checkpoint)
-	}
-	if ck.Fingerprint != job.Fingerprint {
-		t.Fatalf("checkpoint fingerprint %q, want %q", ck.Fingerprint, job.Fingerprint)
+	if ck.Fingerprint != running.Fingerprint {
+		t.Fatalf("checkpoint fingerprint %q, want %q", ck.Fingerprint, running.Fingerprint)
 	}
 	if _, err := ftdse.CheckpointDesign(prob, ck); err != nil {
-		t.Fatalf("pushed design does not resolve against the problem: %v", err)
-	}
-	// The node increments only after its push POST returns, while the
-	// fake coordinator records the push before responding — poll briefly
-	// instead of racing that window.
-	for n := metric(t, srv.URL, "ftdse_checkpoints_pushed_total"); n < 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("checkpoints_pushed = %v", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-		n = metric(t, srv.URL, "ftdse_checkpoints_pushed_total")
+		t.Fatalf("checkpoint design does not resolve against the problem: %v", err)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+job.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+running.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+	events, final := parseSSE(t, srv.URL, running.ID)
+	if !service.TerminalState(final.State) || len(events) < n {
+		t.Fatalf("after cancel: state %q with %d events, want terminal with >= %d", final.State, len(events), n)
+	}
+	latest := events[n-1]
+	if ck.Phase != latest.Phase || ck.Iteration != latest.Iteration ||
+		int64(ck.TardinessMs) != int64(latest.TardinessMs) || int64(ck.MakespanMs) != int64(latest.MakespanMs) {
+		t.Fatalf("checkpoint (%s #%d: %v, %v) is not the latest improvement (%s #%d: %v, %v)",
+			ck.Phase, ck.Iteration, ck.TardinessMs, ck.MakespanMs,
+			latest.Phase, latest.Iteration, latest.TardinessMs, latest.MakespanMs)
+	}
+	if code, _ := getCheckpoint(t, srv.URL, running.ID); code != http.StatusNotFound {
+		t.Fatalf("terminal job checkpoint = %d, want 404", code)
 	}
 }
 

@@ -134,19 +134,19 @@ func (j *job) publish(imp ftdse.Improvement) {
 	j.mu.Lock()
 	j.events = append(j.events, ev)
 	// The observer owns imp.Design (a private clone), so retaining it
-	// for the checkpoint loop is safe.
+	// for GET /jobs/{id}/checkpoint is safe.
 	j.lastImp = imp
 	j.wakeLocked()
 	j.mu.Unlock()
 }
 
-// latest snapshots the newest incumbent for the checkpoint push loop:
-// the improvement, a sequence number (the event count) to dedupe
-// pushes, and whether any incumbent exists yet.
-func (j *job) latest() (ftdse.Improvement, int, bool) {
+// incumbent snapshots the job's problem and newest incumbent for a
+// checkpoint, and whether the job is still live. The problem is read
+// here because the terminal transition drops it.
+func (j *job) incumbent() (ftdse.Problem, ftdse.Improvement, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.lastImp, len(j.events), len(j.events) > 0
+	return j.problem, j.lastImp, !TerminalState(j.state)
 }
 
 // finish moves the job to a terminal state exactly once, reporting

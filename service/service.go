@@ -26,19 +26,20 @@
 //	GET    /jobs/{id}/events SSE stream: one "improvement" event per
 //	                         incumbent solution, then a closing "done"
 //	                         event carrying the final JobStatus.
+//	GET    /jobs/{id}/checkpoint
+//	                         the running job's latest incumbent as a
+//	                         checkpoint document (204 before the first
+//	                         improvement, 404 once terminal); the
+//	                         cluster coordinator pulls it (cluster.go).
 //	GET    /metrics          Prometheus text exposition (queue depth,
 //	                         cache hit rate, solve latency and queue
-//	                         wait histograms…); the legacy expvar JSON
-//	                         view stays available through Vars() (the
-//	                         daemon publishes it at /debug/vars).
+//	                         wait histograms…).
 //	GET    /healthz          liveness ("ok", or 503 while draining).
 //	GET    /readyz           readiness: 200 when the queue has room and
 //	                         the service is not draining, 503 otherwise;
 //	                         the JSON body carries the backlog and the
 //	                         cluster node name (see cluster.go).
-//	POST   /cluster/register node mode: a coordinator registers itself;
-//	                         the service then pushes periodic search
-//	                         checkpoints of running solves to it.
+//	POST   /cluster/register node mode: a coordinator names this node.
 //
 // A submission may carry a warm start (a checkpoint document from a
 // previous solve); see SubmitRequest.WarmStart.
@@ -53,7 +54,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -85,8 +85,8 @@ type Config struct {
 	// client cannot occupy a worker forever (0 = uncapped).
 	MaxTimeLimit time.Duration
 	// Logger receives the service's structured log records (job
-	// lifecycle, backpressure rejections, checkpoint push failures),
-	// each tagged with the job's trace ID. nil discards them.
+	// lifecycle, backpressure rejections), each tagged with the job's
+	// trace ID. nil discards them.
 	Logger *slog.Logger
 }
 
@@ -113,7 +113,6 @@ type Service struct {
 	solver  *ftdse.Solver // shared base; per-job variants derived With()
 	cache   *resultCache
 	met     *metrics
-	vars    *expvar.Map
 	log     *slog.Logger
 	cluster clusterState // node-mode identity (set by registration)
 
@@ -147,7 +146,6 @@ func New(cfg Config) *Service {
 	}
 	s.workCond = sync.NewCond(&s.mu)
 	s.met = newMetrics(s.queueDepth, cfg.QueueSize, s.cache.len)
-	s.vars = s.met.expvarMap(s.queueDepth, cfg.QueueSize, s.cache.len, s.clusterNode)
 	s.wg.Add(cfg.PoolWorkers)
 	for i := 0; i < cfg.PoolWorkers; i++ {
 		go s.worker()
@@ -160,10 +158,6 @@ func (s *Service) queueDepth() int {
 	defer s.mu.Unlock()
 	return len(s.pending)
 }
-
-// Vars returns the service's metrics as an expvar.Map, suitable for
-// expvar.Publish in a daemon.
-func (s *Service) Vars() *expvar.Map { return s.vars }
 
 // Close drains the service: new submissions are rejected with 503,
 // running solves are canceled — each completes within one scheduling
@@ -251,11 +245,9 @@ func (s *Service) runJob(j *job) {
 		opts = append(opts, ftdse.WithWarmStart(j.warm))
 		s.met.warmStarts.Inc()
 	}
-	stopCk := s.startCheckpoints(j)
 	start := time.Now()
 	solver := s.solver.With(opts...)
 	res, err := solver.Solve(j.ctx, j.problem)
-	stopCk()
 	solveDur := time.Since(start)
 	s.met.solvesInFlight.Add(-1)
 	s.met.observeSolve(solveDur)
@@ -565,6 +557,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /jobs/{id}/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -787,9 +780,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// handleMetrics serves the Prometheus text exposition. The legacy
-// expvar JSON view remains available through Vars() — cmd/ftdsed
-// publishes it at /debug/vars.
+// handleMetrics serves the Prometheus text exposition.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	s.met.reg.WriteText(w)

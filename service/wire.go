@@ -355,21 +355,22 @@ type ReadyStatus struct {
 }
 
 // RegisterRequest is the body of POST /cluster/register: the
-// coordinator introduces itself to a solver node. Registration turns on
-// node mode: the service pushes a checkpoint of every running solve's
-// incumbent design to {coordinator}/cluster/checkpoints every
-// CheckpointMs, so an in-flight solve can resume elsewhere if this
-// process dies. Re-registration (a later request) replaces the previous
-// identity, so a coordinator restart heals itself on its first health
-// pass.
+// coordinator introduces itself to a solver node, which then reports
+// the name in /readyz. Re-registration (a later request) replaces the
+// previous identity, so a coordinator restart heals itself on its first
+// health pass. Coordinator and CheckpointMs serve nodes of the previous
+// release, which pushed checkpoints instead of being polled for them:
+// such nodes reject a registration without a coordinator URL.
 //
 //ftdse:wire
 type RegisterRequest struct {
 	// Node is the coordinator's name for this solver node.
 	Node string `json:"node"`
-	// Coordinator is the base URL checkpoints are pushed to.
+	// Coordinator is the base URL a previous-release node pushes
+	// checkpoints to.
 	Coordinator string `json:"coordinator"`
-	// CheckpointMs is the push cadence; <= 0 selects 1000.
+	// CheckpointMs is a previous-release node's push cadence; <= 0
+	// selects 1000.
 	CheckpointMs float64 `json:"checkpoint_ms,omitempty"`
 }
 
@@ -381,10 +382,11 @@ type RegisterResponse struct {
 }
 
 // CheckpointPush is the body of POST /cluster/checkpoints on the
-// coordinator: one solve's latest incumbent, pushed by the node that
-// runs it. The checkpoint document embeds the fingerprint, but it is
-// repeated here so the coordinator can index without parsing the
-// document.
+// coordinator: one solve's latest incumbent, pushed by a node of the
+// previous release (current nodes serve GET /jobs/{id}/checkpoint and
+// the coordinator pulls). The checkpoint document embeds the
+// fingerprint, but it is repeated here so the coordinator can index
+// without parsing the document.
 //
 //ftdse:wire
 type CheckpointPush struct {
